@@ -11,8 +11,8 @@ use crate::device::{Device, DeviceSpec};
 use crate::fault::FaultPlan;
 use crate::graph::Graph;
 use crate::op::{DestMut, Op};
-use crate::optimize::{optimize, OptStats};
-use crate::plan::{infer_batch, MemoryPlan};
+use crate::optimize::{optimize_with, OptStats, PassToggles};
+use crate::plan::{infer_batch, Inplace, MemoryPlan, Step};
 use crate::Backend;
 
 /// Bound on the per-executable plan cache: one warm plan per recently-seen
@@ -26,9 +26,16 @@ struct PlanState {
     slots: Vec<DynTensor>,
 }
 
-/// One plan-cache entry: batch size → shared plan state, or `None` when
-/// that batch defeats planning (negative cache).
-type PlanEntry = (usize, Option<Arc<Mutex<PlanState>>>);
+/// A cached plan's shared state. Its arena size sits beside the run
+/// lock, so footprint readers see a plan even while a request holds it.
+struct CachedPlan {
+    arena_bytes: usize,
+    state: Arc<Mutex<PlanState>>,
+}
+
+/// One plan-cache entry: batch size → cached plan, or `None` when that
+/// batch defeats planning (negative cache).
+type PlanEntry = (usize, Option<CachedPlan>);
 
 /// Failure modes of compiled-graph execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,61 +225,68 @@ impl Executable {
         device: Device,
         faults: FaultPlan,
     ) -> Result<Executable, ExecError> {
-        let start = Instant::now();
-        graph.validate();
         if faults.compile_fail && backend == Backend::Compiled {
             return Err(ExecError::Lowering {
                 message: "injected optimization-pass failure".to_string(),
             });
         }
-        let (graph, refcounts, opt_stats) = match backend {
-            Backend::Eager => (graph, None, None),
-            Backend::Script => {
-                let rc = compute_refcounts(&graph);
-                (graph, Some(rc), None)
-            }
+        Ok(Executable::lower(
+            graph,
+            backend,
+            PassToggles::default(),
+            device,
+            faults,
+        ))
+    }
+
+    /// Lowers `graph` like the Compiled backend but with selected
+    /// optimization passes — the ablation entry point.
+    pub fn with_toggles(graph: Graph, toggles: PassToggles, device: Device) -> Executable {
+        Executable::lower(graph, Backend::Compiled, toggles, device, FaultPlan::none())
+    }
+
+    /// Lowers `graph` to `backend`, running the optimizer with `toggles`
+    /// when the backend is Compiled.
+    fn lower(
+        graph: Graph,
+        backend: Backend,
+        toggles: PassToggles,
+        device: Device,
+        faults: FaultPlan,
+    ) -> Executable {
+        let start = Instant::now();
+        graph.validate();
+        let (graph, opt_stats) = match backend {
             Backend::Compiled => {
-                let (g, stats) = optimize(&graph);
-                let rc = compute_refcounts(&g);
-                (g, Some(rc), Some(stats))
+                let (g, stats) = optimize_with(&graph, toggles);
+                (g, Some(stats))
             }
+            Backend::Eager | Backend::Script => (graph, None),
         };
-        #[allow(clippy::disallowed_methods)] // invariant, message documents it
-        let pool = match device {
-            Device::Cpu { threads } if threads > 0 => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("failed to build thread pool"),
-            ),
-            _ => None,
-        };
-        Ok(Executable {
+        let refcounts = (backend != Backend::Eager).then(|| compute_refcounts(&graph));
+        let compile_time = start.elapsed();
+        Executable::from_parts(
             graph,
             backend,
             device,
             refcounts,
             opt_stats,
-            compile_time: start.elapsed(),
-            pool,
+            compile_time,
             faults,
-            runs: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            plans: Mutex::new(Vec::new()),
-        })
+        )
     }
 
-    /// Lowers `graph` like the Compiled backend but with selected
-    /// optimization passes — the ablation entry point.
-    pub fn with_toggles(
+    /// Binds an already-lowered graph to `device` with a cold plan cache
+    /// and fresh run counters.
+    fn from_parts(
         graph: Graph,
-        toggles: crate::optimize::PassToggles,
+        backend: Backend,
         device: Device,
+        refcounts: Option<Vec<u32>>,
+        opt_stats: Option<OptStats>,
+        compile_time: Duration,
+        faults: FaultPlan,
     ) -> Executable {
-        let start = Instant::now();
-        graph.validate();
-        let (g, stats) = crate::optimize::optimize_with(&graph, toggles);
-        let rc = compute_refcounts(&g);
         #[allow(clippy::disallowed_methods)] // invariant, message documents it
         let pool = match device {
             Device::Cpu { threads } if threads > 0 => Some(
@@ -284,14 +298,14 @@ impl Executable {
             _ => None,
         };
         Executable {
-            graph: g,
-            backend: Backend::Compiled,
+            graph,
+            backend,
             device,
-            refcounts: Some(rc),
-            opt_stats: Some(stats),
-            compile_time: start.elapsed(),
+            refcounts,
+            opt_stats,
+            compile_time,
             pool,
-            faults: FaultPlan::none(),
+            faults,
             runs: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             plans: Mutex::new(Vec::new()),
@@ -366,11 +380,7 @@ impl Executable {
         inputs: &[DynTensor],
         cancel: Option<&CancelToken>,
     ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
-        self.validate_inputs(inputs)?;
-        match &self.pool {
-            Some(pool) => pool.install(|| self.execute(inputs, true, cancel)),
-            None => self.execute(inputs, true, cancel),
-        }
+        self.run_on_pool(inputs, true, cancel, None)
     }
 
     /// Runs of this executable stopped mid-graph by cooperative
@@ -389,11 +399,7 @@ impl Executable {
         &self,
         inputs: &[DynTensor],
     ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
-        self.validate_inputs(inputs)?;
-        match &self.pool {
-            Some(pool) => pool.install(|| self.execute(inputs, false, None)),
-            None => self.execute(inputs, false, None),
-        }
+        self.run_on_pool(inputs, false, None, None)
     }
 
     /// Returns a twin executable whose fused kernels run on the legacy
@@ -430,29 +436,15 @@ impl Executable {
                 node.op = Op::Fused(std::sync::Arc::new(pinned));
             }
         }
-        #[allow(clippy::disallowed_methods)] // invariant, message documents it
-        let pool = match self.device {
-            Device::Cpu { threads } if threads > 0 => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("failed to build thread pool"),
-            ),
-            _ => None,
-        };
-        Executable {
+        Executable::from_parts(
             graph,
-            backend: self.backend,
-            device: self.device,
-            refcounts: self.refcounts.clone(),
-            opt_stats: self.opt_stats,
-            compile_time: self.compile_time,
-            pool,
-            faults: self.faults.clone(),
-            runs: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            plans: Mutex::new(Vec::new()),
-        }
+            self.backend,
+            self.device,
+            self.refcounts.clone(),
+            self.opt_stats,
+            self.compile_time,
+            self.faults.clone(),
+        )
     }
 
     /// Builds the memory plan this executable's (optimized) graph gets at
@@ -478,13 +470,14 @@ impl Executable {
 
     /// Bytes of arena backing currently held by the warm plan cache
     /// (summed over cached batch sizes) — the per-model plan-cache
-    /// component of a store's memory accounting.
+    /// component of a store's memory accounting. Plans a request is
+    /// running right now count too.
     pub fn plan_cache_bytes(&self) -> usize {
         let cache = self.plans.lock().unwrap_or_else(|p| p.into_inner());
         cache
             .iter()
-            .filter_map(|(_, state)| state.as_ref())
-            .filter_map(|s| s.try_lock().ok().map(|g| g.plan.arena_bytes))
+            .filter_map(|(_, entry)| entry.as_ref())
+            .map(|entry| entry.arena_bytes)
             .sum()
     }
 
@@ -513,38 +506,44 @@ impl Executable {
         Ok(())
     }
 
-    /// Times every node individually (diagnostic; ignores early frees).
+    /// Times every node of one run individually (diagnostic). The run
+    /// takes the path a served request would — the warm plan when one
+    /// matches — so these are the times of the serving path. A run that
+    /// fails reports the nodes it finished.
     pub fn profile(&self, inputs: &[DynTensor]) -> Vec<(String, Duration)> {
-        let mut vals: Vec<Option<DynTensor>> = vec![None; self.graph.nodes.len()];
-        let mut out = Vec::new();
-        for (id, node) in self.graph.nodes.iter().enumerate() {
-            let t = Instant::now();
-            let v = match &node.op {
-                Op::Input(slot) => inputs[*slot].clone(),
-                op => {
-                    #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                    let ins: Vec<&DynTensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| vals[i].as_ref().expect("executor: operand freed too early"))
-                        .collect();
-                    op.eval(&ins)
-                }
-            };
-            let label = format!("{:?}", node.op);
-            out.push((label.chars().take(60).collect(), t.elapsed()));
-            vals[id] = Some(v);
-        }
-        out
+        let mut times = Vec::with_capacity(self.graph.nodes.len());
+        let _ = self.run_on_pool(inputs, true, None, Some(&mut times));
+        self.graph
+            .nodes
+            .iter()
+            .zip(times)
+            .map(|(node, t)| (format!("{:?}", node.op).chars().take(60).collect(), t))
+            .collect()
     }
 
-    /// Dispatches one run: injected-fault gates, then the planned arena
-    /// path when a warm plan matches, else the refcount path.
+    /// Validates `inputs`, then runs on this executable's thread pool.
+    fn run_on_pool(
+        &self,
+        inputs: &[DynTensor],
+        allow_planned: bool,
+        cancel: Option<&CancelToken>,
+        times: Option<&mut Vec<Duration>>,
+    ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
+        self.validate_inputs(inputs)?;
+        match &self.pool {
+            Some(pool) => pool.install(|| self.execute(inputs, allow_planned, cancel, times)),
+            None => self.execute(inputs, allow_planned, cancel, times),
+        }
+    }
+
+    /// Dispatches one run: injected-fault gates, then the node loop with
+    /// the warm plan when one matches, else without a plan.
     fn execute(
         &self,
         inputs: &[DynTensor],
         allow_planned: bool,
         cancel: Option<&CancelToken>,
+        times: Option<&mut Vec<Duration>>,
     ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
         let run_index = self.runs.fetch_add(1, Ordering::Relaxed);
         let faults_active = !self.faults.is_none() && self.faults.active_for_run(run_index);
@@ -564,11 +563,11 @@ impl Executable {
                 // fall through to the (lock-free) refcount path instead
                 // of queueing behind it.
                 if let Ok(mut guard) = state.try_lock() {
-                    return self.execute_planned(inputs, &mut guard, faults_active, cancel);
+                    return self.run_nodes(inputs, Some(&mut guard), faults_active, cancel, times);
                 }
             }
         }
-        self.execute_refcount(inputs, faults_active, cancel)
+        self.run_nodes(inputs, None, faults_active, cancel, times)
     }
 
     /// Cancellation checkpoint between node evaluations: records the
@@ -594,7 +593,7 @@ impl Executable {
             // LRU: refresh this batch's position.
             let entry = cache.remove(pos);
             cache.insert(0, entry);
-            let state = cache[0].1.clone()?;
+            let state = cache[0].1.as_ref()?.state.clone();
             {
                 // Distinct shapes can share a batch key (e.g. B² dims);
                 // the plan stores exact input shapes to disambiguate.
@@ -611,24 +610,42 @@ impl Executable {
         let built = MemoryPlan::build(&self.graph, batch)
             .ok()
             .filter(|p| p.planned_kernels > 0 && p.matches_inputs(inputs));
-        let entry = built.map(|plan| {
-            let slots = plan.allocate_slots();
-            Arc::new(Mutex::new(PlanState { plan, slots }))
+        let entry = built.map(|plan| CachedPlan {
+            arena_bytes: plan.arena_bytes,
+            state: Arc::new(Mutex::new(PlanState {
+                slots: plan.allocate_slots(),
+                plan,
+            })),
         });
         cache.insert(0, (batch, entry));
         cache.truncate(PLAN_CACHE_CAP);
         None
     }
 
-    fn execute_refcount(
+    /// The executor's one node loop.
+    ///
+    /// With a `plan`, each node runs as its [`Step`] says: kernels write
+    /// into pre-allocated arena slots via [`Op::eval_into`] (or overwrite
+    /// a dying operand's slot), node values are zero-copy views of their
+    /// slot, and a steady-state run performs no tensor allocations.
+    /// Without one — the refcount path — every node is a [`Step::Value`]
+    /// that allocates its result. Either way Script and Compiled drop each
+    /// value after its last consumer, while Eager keeps every value to the
+    /// end. Cancellation, the per-node unwind boundary, cost counters,
+    /// injected faults and the simulated-device model are the same on
+    /// both paths. With `times`, each finished node's wall time is
+    /// appended in node order.
+    fn run_nodes(
         &self,
         inputs: &[DynTensor],
+        plan: Option<&mut PlanState>,
         faults_active: bool,
         cancel: Option<&CancelToken>,
+        mut times: Option<&mut Vec<Duration>>,
     ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
-        let spec: Option<&DeviceSpec> = match &self.device {
-            Device::Sim(s) => Some(s),
-            Device::Cpu { .. } => None,
+        let (plan, slots): (Option<&MemoryPlan>, &mut [DynTensor]) = match plan {
+            Some(PlanState { plan, slots }) => (Some(plan), slots),
+            None => (None, &mut []),
         };
         let free_early = self.refcounts.is_some();
         let start = Instant::now();
@@ -649,255 +666,43 @@ impl Executable {
             rc[o] = u32::MAX;
         }
 
-        let mut stats = RunStats::default();
-        let mut sim_time = 0.0f64;
-        // Modeled device residency: parameters stay resident; inputs are
-        // transferred up front.
-        let mut sim_live: u64 = self.graph.const_bytes() as u64;
-        let mut sim_peak: u64 = sim_live;
-        if let Some(s) = spec {
-            let in_bytes: f64 = inputs.iter().map(|t| t.nbytes() as f64).sum();
-            sim_time += s.transfer_time(in_bytes);
-            sim_live += in_bytes as u64;
-            sim_peak = sim_peak.max(sim_live);
-        }
-
-        for id in 0..n {
-            self.check_cancel(cancel, id)?;
-            let node = &self.graph.nodes[id];
-            let out = match &node.op {
-                Op::Input(slot) => inputs[*slot].clone(),
-                op => {
-                    #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                    let ins: Vec<&DynTensor> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| vals[i].as_ref().expect("executor: operand freed too early"))
-                        .collect();
-                    // Per-node unwind boundary: kernels validate shapes by
-                    // panicking (trusted-graph fast path), so a malformed
-                    // request that slips past input validation surfaces
-                    // here as a typed error instead of unwinding through
-                    // the serving stack.
-                    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        op.eval(&ins)
-                    })) {
-                        Ok(v) => v,
-                        Err(p) => {
-                            return Err(ExecError::Kernel {
-                                node: id,
-                                message: panic_message(p),
-                            })
-                        }
-                    };
-                    let cost = op.cost(&ins, &out);
-                    if !cost.metadata_only {
-                        stats.kernel_launches += 1;
-                        stats.flops += cost.flops;
-                        stats.bytes += cost.bytes;
-                        stats.traversals += cost.traversals;
-                        if let Some(s) = spec {
-                            sim_time += s.kernel_time(cost.flops, cost.bytes);
-                        }
-                        if faults_active {
-                            if let Some(d) = self.faults.slow_kernel {
-                                std::thread::sleep(d);
-                            }
-                            if self.faults.kernel_error {
-                                return Err(ExecError::Kernel {
-                                    node: id,
-                                    message: "injected kernel fault".to_string(),
-                                });
-                            }
-                        }
-                    }
-                    if spec.is_some() && !matches!(op, Op::Const(_)) {
-                        sim_live += out.nbytes() as u64;
-                        sim_peak = sim_peak.max(sim_live);
-                    }
-                    out
-                }
-            };
-            vals[id] = Some(out);
-            // Release operands whose last consumer this was.
-            if free_early {
-                for &i in &self.graph.nodes[id].inputs {
-                    if rc[i] != u32::MAX {
-                        rc[i] -= 1;
-                        if rc[i] == 0 {
-                            // Parameters (consts) stay resident on device;
-                            // only intermediates release modeled memory.
-                            let is_const = matches!(self.graph.nodes[i].op, Op::Const(_));
-                            if let (Some(_), Some(v), false) = (spec, vals[i].as_ref(), is_const) {
-                                sim_live = sim_live.saturating_sub(v.nbytes() as u64);
-                            }
-                            vals[i] = None;
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(s) = spec {
-            #[allow(clippy::disallowed_methods)] // outputs are pinned by refcounting
-            let out_bytes: f64 = self
-                .graph
-                .outputs
-                .iter()
-                .map(|&o| {
-                    vals[o]
-                        .as_ref()
-                        .expect("executor: output freed before return")
-                        .nbytes() as f64
-                })
-                .sum();
-            sim_time += s.transfer_time(out_bytes);
-            stats.simulated = Some(Duration::from_secs_f64(sim_time));
-            stats.sim_peak_bytes = sim_peak;
-            if sim_peak > s.mem_bytes {
-                return Err(ExecError::DeviceOom {
-                    needed: sim_peak,
-                    capacity: s.mem_bytes,
-                });
-            }
-        }
-
-        #[allow(clippy::disallowed_methods)] // outputs are pinned by refcounting
-        let mut outputs: Vec<DynTensor> = self
-            .graph
-            .outputs
-            .iter()
-            .map(|&o| {
-                vals[o]
-                    .clone()
-                    .expect("executor: output freed before return")
-            })
-            .collect();
-        if faults_active && self.faults.nan_poison {
-            // Silent corruption: replace f32 outputs with NaN while still
-            // reporting success. Downstream output validation must catch it.
-            for out in &mut outputs {
-                if let DynTensor::F32(t) = out {
-                    *out = DynTensor::F32(Tensor::from_fn(t.shape(), |_| f32::NAN));
-                }
-            }
-        }
-        stats.wall = start.elapsed();
-        stats.peak_tensor_bytes = alloc::peak_bytes().saturating_sub(host_before);
-        stats.allocations = alloc::alloc_count().saturating_sub(allocs_before);
-        stats.cancelled = self.cancelled.load(Ordering::Relaxed);
-        Ok((outputs, stats))
-    }
-
-    /// Executes a warm memory plan: kernels write into pre-allocated arena
-    /// slots via [`Op::eval_into`], node values are zero-copy views of
-    /// their slot, and a steady-state run performs no tensor allocations.
-    ///
-    /// Fault injection, the per-node unwind boundary, and the simulated-
-    /// device model behave exactly as on the refcount path.
-    fn execute_planned(
-        &self,
-        inputs: &[DynTensor],
-        state: &mut PlanState,
-        faults_active: bool,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Vec<DynTensor>, RunStats), ExecError> {
-        use crate::plan::{Inplace, Step};
-        let PlanState { plan, slots } = state;
-        let spec: Option<&DeviceSpec> = match &self.device {
-            Device::Sim(s) => Some(s),
-            Device::Cpu { .. } => None,
-        };
-        let start = Instant::now();
-        alloc::reset_peak();
-        let host_before = alloc::current_bytes();
-        let allocs_before = alloc::alloc_count();
-
-        let n = self.graph.nodes.len();
-        let mut vals: Vec<Option<DynTensor>> = vec![None; n];
-        let mut rc: Vec<u32> = match &self.refcounts {
-            Some(rc) => rc.clone(),
-            None => compute_refcounts(&self.graph),
-        };
-        for &o in &self.graph.outputs {
-            rc[o] = u32::MAX;
-        }
-
+        let arena_bytes = plan.map_or(0, |p| p.arena_bytes);
         let mut stats = RunStats {
-            planned: true,
-            arena_bytes: plan.arena_bytes,
+            planned: plan.is_some(),
+            arena_bytes,
             ..RunStats::default()
         };
-        let mut sim_time = 0.0f64;
-        let mut sim_live: u64 = self.graph.const_bytes() as u64;
-        let mut sim_peak: u64 = sim_live;
-        if let Some(s) = spec {
-            let in_bytes: f64 = inputs.iter().map(|t| t.nbytes() as f64).sum();
-            sim_time += s.transfer_time(in_bytes);
-            sim_live += in_bytes as u64;
-            sim_peak = sim_peak.max(sim_live);
-        }
+        let mut sim = match &self.device {
+            Device::Sim(spec) => Some(SimRun::start(spec, self.graph.const_bytes(), inputs)),
+            Device::Cpu { .. } => None,
+        };
 
         for id in 0..n {
             self.check_cancel(cancel, id)?;
+            let started = times.is_some().then(Instant::now);
             let node = &self.graph.nodes[id];
             let (out, cost) = match &node.op {
                 Op::Input(slot) => (inputs[*slot].clone(), None),
                 op => {
-                    let (out, cost) = match &plan.steps[id] {
-                        Step::Value => {
-                            #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                            let ins: Vec<&DynTensor> = node
-                                .inputs
-                                .iter()
-                                .map(|&i| {
-                                    vals[i].as_ref().expect("executor: operand freed too early")
-                                })
-                                .collect();
-                            let out =
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&ins)
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                };
+                    let (out, cost) = match plan.map(|p| &p.steps[id]) {
+                        None | Some(Step::Value) => {
+                            let ins = values(&vals, &node.inputs);
+                            let out = catch_kernel(id, || op.eval(&ins))?;
                             let cost = op.cost(&ins, &out);
-                            (out, Some(cost))
+                            (out, cost)
                         }
-                        Step::Kernel {
+                        Some(Step::Kernel {
                             slot,
                             shape,
                             inplace: Inplace::Map,
-                        } => {
-                            let src = node.inputs[0];
+                        }) => {
                             // Drop the dying operand's view to restore slot
                             // uniqueness; its data lives in the slot itself.
-                            // Release its modeled residency here — the free
-                            // loop below will find it already gone.
-                            if spec.is_some() {
-                                if let Some(v) = vals[src].as_ref() {
-                                    sim_live = sim_live.saturating_sub(v.nbytes() as u64);
-                                }
-                            }
-                            vals[src] = None;
+                            self.release(&mut vals, node.inputs[0], &mut sim);
                             let applied = match &mut slots[*slot] {
                                 DynTensor::F32(t) => match t.as_mut_slice() {
                                     Some(buf) => {
-                                        if let Err(p) =
-                                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                                || op.apply_inplace_f32(buf),
-                                            ))
-                                        {
-                                            return Err(ExecError::Kernel {
-                                                node: id,
-                                                message: panic_message(p),
-                                            });
-                                        }
+                                        catch_kernel(id, || op.apply_inplace_f32(buf))?;
                                         true
                                     }
                                     None => false,
@@ -912,84 +717,47 @@ impl Executable {
                                 // (unmodified) slot data and run the
                                 // allocating kernel instead.
                                 let rebuilt = slot_view(&slots[*slot], shape);
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&[&rebuilt])
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
+                                catch_kernel(id, || op.eval(&[&rebuilt]))?
                             };
                             // A unary map's cost is symmetric in operand
                             // and result, so the result stands in for the
                             // dropped operand.
                             let cost = op.cost(&[&out], &out);
-                            (out, Some(cost))
+                            (out, cost)
                         }
-                        Step::Kernel {
+                        Some(Step::Kernel {
                             slot,
                             shape,
                             inplace: Inplace::Fused { operand },
-                        } => {
+                        }) => {
                             let numel: usize = shape.iter().product();
-                            let src = node.inputs[*operand];
                             // Drop the dying operand's view to restore slot
                             // uniqueness; its data lives in the slot itself.
-                            if spec.is_some() {
-                                if let Some(v) = vals[src].as_ref() {
-                                    sim_live = sim_live.saturating_sub(v.nbytes() as u64);
-                                }
-                            }
-                            vals[src] = None;
-                            #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
+                            self.release(&mut vals, node.inputs[*operand], &mut sim);
                             let ins: Vec<Option<&DynTensor>> = node
                                 .inputs
                                 .iter()
                                 .enumerate()
-                                .map(|(j, &i)| {
-                                    if j == *operand {
-                                        None
-                                    } else {
-                                        Some(
-                                            vals[i]
-                                                .as_ref()
-                                                .expect("executor: operand freed too early"),
-                                        )
-                                    }
-                                })
+                                .map(|(j, &i)| (j != *operand).then(|| value(&vals, i)))
                                 .collect();
-                            let kern = match op {
-                                Op::Fused(k) => k,
-                                _ => {
-                                    return Err(ExecError::Kernel {
-                                        node: id,
-                                        message: "planner marked a non-fused op Inplace::Fused"
-                                            .to_string(),
-                                    })
-                                }
+                            let Op::Fused(kern) = op else {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: "planner marked a non-fused op Inplace::Fused"
+                                        .to_string(),
+                                });
                             };
                             let applied = match &mut slots[*slot] {
                                 DynTensor::F32(t) => match t.as_mut_slice() {
                                     Some(buf) => {
-                                        if let Err(p) = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                kern.eval_in_place(
-                                                    *operand,
-                                                    &ins,
-                                                    shape,
-                                                    &mut buf[..numel],
-                                                )
-                                            }),
-                                        ) {
-                                            return Err(ExecError::Kernel {
-                                                node: id,
-                                                message: panic_message(p),
-                                            });
-                                        }
+                                        catch_kernel(id, || {
+                                            kern.eval_in_place(
+                                                *operand,
+                                                &ins,
+                                                shape,
+                                                &mut buf[..numel],
+                                            )
+                                        })?;
                                         true
                                     }
                                     None => false,
@@ -1006,17 +774,7 @@ impl Executable {
                                 let rebuilt = slot_view(&slots[*slot], shape);
                                 let full: Vec<&DynTensor> =
                                     ins.iter().map(|o| o.unwrap_or(&rebuilt)).collect();
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&full)
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
+                                catch_kernel(id, || op.eval(&full))?
                             };
                             // The destroyed operand had exactly the output
                             // shape, so the result stands in for it in the
@@ -1026,40 +784,23 @@ impl Executable {
                                     ins.iter().map(|o| o.unwrap_or(&out)).collect();
                                 op.cost(&cost_ins, &out)
                             };
-                            (out, Some(cost))
+                            (out, cost)
                         }
-                        Step::Kernel {
+                        Some(Step::Kernel {
                             slot,
                             shape,
                             inplace: Inplace::MatMulLhs { scratch },
-                        } => {
+                        }) => {
                             // Capture the dying LHS's shape, then drop its
                             // view so the slot regains Arc uniqueness.
-                            #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                            let lhs_shape: Vec<usize> = vals[node.inputs[0]]
-                                .as_ref()
-                                .expect("executor: operand freed too early")
-                                .shape()
-                                .to_vec();
-                            if spec.is_some() {
-                                if let Some(v) = vals[node.inputs[0]].as_ref() {
-                                    sim_live = sim_live.saturating_sub(v.nbytes() as u64);
-                                }
-                            }
-                            vals[node.inputs[0]] = None;
-                            #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                            let rhs_val = vals[node.inputs[1]]
-                                .as_ref()
-                                .expect("executor: operand freed too early");
-                            let rhs = match rhs_val {
-                                DynTensor::F32(t) => t,
-                                _ => {
-                                    return Err(ExecError::Kernel {
-                                        node: id,
-                                        message: "planner marked a non-f32 matmul in-place"
-                                            .to_string(),
-                                    })
-                                }
+                            let lhs_shape = value(&vals, node.inputs[0]).shape().to_vec();
+                            self.release(&mut vals, node.inputs[0], &mut sim);
+                            let rhs_val = value(&vals, node.inputs[1]);
+                            let DynTensor::F32(rhs) = rhs_val else {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: "planner marked a non-f32 matmul in-place".to_string(),
+                                });
                             };
                             // Two distinct slots (data + panel scratch) need
                             // simultaneous mutable access.
@@ -1075,18 +816,11 @@ impl Executable {
                                     (DynTensor::F32(d), DynTensor::F32(s)) => {
                                         match (d.as_mut_slice(), s.as_mut_slice()) {
                                             (Some(buf), Some(scr)) => {
-                                                if let Err(p) = std::panic::catch_unwind(
-                                                    std::panic::AssertUnwindSafe(|| {
-                                                        hb_tensor::matmul::matmul_in_place(
-                                                            buf, &lhs_shape, rhs, scr,
-                                                        )
-                                                    }),
-                                                ) {
-                                                    return Err(ExecError::Kernel {
-                                                        node: id,
-                                                        message: panic_message(p),
-                                                    });
-                                                }
+                                                catch_kernel(id, || {
+                                                    hb_tensor::matmul::matmul_in_place(
+                                                        buf, &lhs_shape, rhs, scr,
+                                                    )
+                                                })?;
                                                 true
                                             }
                                             _ => false,
@@ -1101,17 +835,7 @@ impl Executable {
                                 // Self-heal: the LHS data is still intact in
                                 // its slot; rebuild it and run allocating.
                                 let rebuilt = slot_view(&slots[*slot], &lhs_shape);
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&[&rebuilt, rhs_val])
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
+                                catch_kernel(id, || op.eval(&[&rebuilt, rhs_val]))?
                             };
                             // Cost reads only shapes, so a shape-correct
                             // view of the (now overwritten) slot stands in
@@ -1120,13 +844,13 @@ impl Executable {
                                 let lhs_standin = slot_view(&slots[*slot], &lhs_shape);
                                 op.cost(&[&lhs_standin, rhs_val], &out)
                             };
-                            (out, Some(cost))
+                            (out, cost)
                         }
-                        Step::Kernel {
+                        Some(Step::Kernel {
                             slot,
                             shape,
                             inplace: Inplace::No,
-                        } => {
+                        }) => {
                             let numel: usize = shape.iter().product();
                             // Self-heal: if a previous run's caller still
                             // holds views into this slot, replace the
@@ -1138,51 +862,36 @@ impl Executable {
                                 DynTensor::U8(t) => t.as_mut_slice().is_some(),
                             };
                             if !unique {
-                                slots[*slot] = plan.slots[*slot].allocate();
+                                if let Some(plan) = plan {
+                                    slots[*slot] = plan.slots[*slot].allocate();
+                                }
                             }
-                            #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
-                            let ins: Vec<&DynTensor> = node
-                                .inputs
-                                .iter()
-                                .map(|&i| {
-                                    vals[i].as_ref().expect("executor: operand freed too early")
-                                })
-                                .collect();
-                            let res = {
-                                #[allow(clippy::disallowed_methods)] // uniqueness ensured above
-                                let dest = match &mut slots[*slot] {
-                                    DynTensor::F32(t) => DestMut::F32(
-                                        &mut t.as_mut_slice().expect("slot is unique")[..numel],
-                                    ),
-                                    DynTensor::I64(t) => DestMut::I64(
-                                        &mut t.as_mut_slice().expect("slot is unique")[..numel],
-                                    ),
-                                    DynTensor::Bool(t) => DestMut::Bool(
-                                        &mut t.as_mut_slice().expect("slot is unique")[..numel],
-                                    ),
-                                    DynTensor::U8(_) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: "planner assigned a u8 arena slot".to_string(),
-                                        })
-                                    }
-                                };
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval_into(&ins, dest)
-                                }))
+                            let ins = values(&vals, &node.inputs);
+                            #[allow(clippy::disallowed_methods)] // uniqueness ensured above
+                            let dest = match &mut slots[*slot] {
+                                DynTensor::F32(t) => DestMut::F32(
+                                    &mut t.as_mut_slice().expect("slot is unique")[..numel],
+                                ),
+                                DynTensor::I64(t) => DestMut::I64(
+                                    &mut t.as_mut_slice().expect("slot is unique")[..numel],
+                                ),
+                                DynTensor::Bool(t) => DestMut::Bool(
+                                    &mut t.as_mut_slice().expect("slot is unique")[..numel],
+                                ),
+                                DynTensor::U8(_) => {
+                                    return Err(ExecError::Kernel {
+                                        node: id,
+                                        message: "planner assigned a u8 arena slot".to_string(),
+                                    })
+                                }
                             };
-                            if let Err(p) = res {
-                                return Err(ExecError::Kernel {
-                                    node: id,
-                                    message: panic_message(p),
-                                });
-                            }
+                            catch_kernel(id, || op.eval_into(&ins, dest))?;
                             let out = slot_view(&slots[*slot], shape);
                             let cost = op.cost(&ins, &out);
-                            (out, Some(cost))
+                            (out, cost)
                         }
                     };
-                    (out, cost)
+                    (out, Some(cost))
                 }
             };
             if let Some(cost) = cost {
@@ -1191,8 +900,8 @@ impl Executable {
                     stats.flops += cost.flops;
                     stats.bytes += cost.bytes;
                     stats.traversals += cost.traversals;
-                    if let Some(s) = spec {
-                        sim_time += s.kernel_time(cost.flops, cost.bytes);
+                    if let Some(sim) = &mut sim {
+                        sim.time += sim.spec.kernel_time(cost.flops, cost.bytes);
                     }
                     if faults_active {
                         if let Some(d) = self.faults.slow_kernel {
@@ -1206,62 +915,56 @@ impl Executable {
                         }
                     }
                 }
-                if spec.is_some() && !matches!(node.op, Op::Const(_)) {
-                    sim_live += out.nbytes() as u64;
-                    sim_peak = sim_peak.max(sim_live);
+                if let Some(sim) = &mut sim {
+                    if !matches!(node.op, Op::Const(_)) {
+                        sim.grow(out.nbytes() as u64);
+                    }
                 }
             }
             vals[id] = Some(out);
-            for &i in &self.graph.nodes[id].inputs {
-                if rc[i] != u32::MAX && rc[i] > 0 {
-                    rc[i] -= 1;
-                    if rc[i] == 0 {
-                        let is_const = matches!(self.graph.nodes[i].op, Op::Const(_));
-                        if let (Some(_), Some(v), false) = (spec, vals[i].as_ref(), is_const) {
-                            sim_live = sim_live.saturating_sub(v.nbytes() as u64);
+            if let (Some(times), Some(started)) = (times.as_deref_mut(), started) {
+                times.push(started.elapsed());
+            }
+            // Release operands whose last consumer this was.
+            if free_early {
+                for &i in &node.inputs {
+                    if rc[i] != u32::MAX && rc[i] > 0 {
+                        rc[i] -= 1;
+                        if rc[i] == 0 {
+                            self.release(&mut vals, i, &mut sim);
                         }
-                        vals[i] = None;
                     }
                 }
             }
         }
 
-        if let Some(s) = spec {
-            #[allow(clippy::disallowed_methods)] // outputs are pinned by refcounting
+        if let Some(sim) = &mut sim {
             let out_bytes: f64 = self
                 .graph
                 .outputs
                 .iter()
-                .map(|&o| {
-                    vals[o]
-                        .as_ref()
-                        .expect("executor: output freed before return")
-                        .nbytes() as f64
-                })
+                .map(|&o| value(&vals, o).nbytes() as f64)
                 .sum();
-            sim_time += s.transfer_time(out_bytes);
-            stats.simulated = Some(Duration::from_secs_f64(sim_time));
-            stats.sim_peak_bytes = sim_peak;
-            if sim_peak > s.mem_bytes {
+            sim.time += sim.spec.transfer_time(out_bytes);
+            stats.simulated = Some(Duration::from_secs_f64(sim.time));
+            stats.sim_peak_bytes = sim.peak;
+            if sim.peak > sim.spec.mem_bytes {
                 return Err(ExecError::DeviceOom {
-                    needed: sim_peak,
-                    capacity: s.mem_bytes,
+                    needed: sim.peak,
+                    capacity: sim.spec.mem_bytes,
                 });
             }
         }
 
-        #[allow(clippy::disallowed_methods)] // outputs are pinned by refcounting
         let mut outputs: Vec<DynTensor> = self
             .graph
             .outputs
             .iter()
-            .map(|&o| {
-                vals[o]
-                    .clone()
-                    .expect("executor: output freed before return")
-            })
+            .map(|&o| value(&vals, o).clone())
             .collect();
         if faults_active && self.faults.nan_poison {
+            // Silent corruption: replace f32 outputs with NaN while still
+            // reporting success. Downstream output validation must catch it.
             for out in &mut outputs {
                 if let DynTensor::F32(t) = out {
                     *out = DynTensor::F32(Tensor::from_fn(t.shape(), |_| f32::NAN));
@@ -1269,16 +972,84 @@ impl Executable {
             }
         }
         stats.wall = start.elapsed();
-        // The arena is allocated once at plan time, outside this run's
-        // peak window; report it alongside transient allocations so the
-        // figure stays comparable with refcount runs.
-        stats.peak_tensor_bytes = plan
-            .arena_bytes
-            .saturating_add(alloc::peak_bytes().saturating_sub(host_before));
-        stats.allocations = alloc::alloc_count().saturating_sub(allocs_before);
+        // The counters are this thread's: every tensor of the run is
+        // allocated here, not in the pool's workers. The arena is
+        // allocated once at plan time, outside this run's peak window;
+        // report it alongside transient allocations so the figure stays
+        // comparable with refcount runs.
+        let transient = usize::try_from(alloc::peak_bytes() - host_before).unwrap_or(0);
+        stats.peak_tensor_bytes = arena_bytes.saturating_add(transient);
+        stats.allocations = alloc::alloc_count() - allocs_before;
         stats.cancelled = self.cancelled.load(Ordering::Relaxed);
         Ok((outputs, stats))
     }
+
+    /// Drops node `i`'s value — after its last consumer, or to hand its
+    /// arena slot to an in-place kernel — and releases its modeled device
+    /// residency (parameters stay resident on the device).
+    fn release(&self, vals: &mut [Option<DynTensor>], i: usize, sim: &mut Option<SimRun<'_>>) {
+        let v = vals[i].take();
+        if let (Some(sim), Some(v)) = (sim, v) {
+            if !matches!(self.graph.nodes[i].op, Op::Const(_)) {
+                sim.live = sim.live.saturating_sub(v.nbytes() as u64);
+            }
+        }
+    }
+}
+
+/// The modeled state of one run on a simulated accelerator.
+struct SimRun<'a> {
+    spec: &'a DeviceSpec,
+    /// Modeled latency so far, in seconds.
+    time: f64,
+    /// Modeled device residency: parameters plus live values.
+    live: u64,
+    peak: u64,
+}
+
+impl<'a> SimRun<'a> {
+    /// Parameters stay resident; inputs are transferred up front.
+    fn start(spec: &'a DeviceSpec, const_bytes: usize, inputs: &[DynTensor]) -> SimRun<'a> {
+        let in_bytes: f64 = inputs.iter().map(|t| t.nbytes() as f64).sum();
+        let mut sim = SimRun {
+            spec,
+            time: spec.transfer_time(in_bytes),
+            live: const_bytes as u64,
+            peak: 0,
+        };
+        sim.grow(in_bytes as u64);
+        sim
+    }
+
+    fn grow(&mut self, bytes: u64) {
+        self.live += bytes;
+        self.peak = self.peak.max(self.live);
+    }
+}
+
+/// Per-node unwind boundary: kernels validate shapes by panicking
+/// (trusted-graph fast path), so a malformed request that slips past
+/// input validation surfaces here as a typed error instead of unwinding
+/// through the serving stack.
+fn catch_kernel<R>(node: usize, kernel: impl FnOnce() -> R) -> Result<R, ExecError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)).map_err(|p| ExecError::Kernel {
+        node,
+        message: panic_message(p),
+    })
+}
+
+/// Node `i`'s live value. Values stay live until their last consumer and
+/// outputs are pinned, so a missing one is an executor bug.
+#[allow(clippy::disallowed_methods)] // invariant, message documents it
+fn value(vals: &[Option<DynTensor>], i: usize) -> &DynTensor {
+    vals[i]
+        .as_ref()
+        .expect("executor: value freed before its last use")
+}
+
+/// The live values of `ids`, in order.
+fn values<'v>(vals: &'v [Option<DynTensor>], ids: &[usize]) -> Vec<&'v DynTensor> {
+    ids.iter().map(|&i| value(vals, i)).collect()
 }
 
 /// A zero-copy view of an arena slot's leading `shape`-full of elements.
@@ -1445,6 +1216,43 @@ mod tests {
         assert!(exe.cancelled_runs() > 0);
         assert!(!ExecError::Cancelled { node: 3 }.is_transient());
         assert!(ExecError::Cancelled { node: 3 }.is_cancelled());
+    }
+
+    /// y = relu(x @ w) with a declared `[B, 2]` input, so it plans.
+    fn planned_graph() -> Graph {
+        let mut b = GraphBuilder::new();
+        let x = b.input_with_shape(DType::F32, crate::ShapeFact::batched(&[2]));
+        let w = b.constant(Tensor::from_vec(vec![1.0f32, -1.0, 0.5, 2.0], &[2, 2]));
+        let y = b.matmul(x, w);
+        let z = b.push(Op::Relu, vec![y]);
+        b.output(z);
+        b.build()
+    }
+
+    #[test]
+    fn plan_cache_bytes_counts_a_plan_while_it_runs() {
+        let exe = Executable::new(planned_graph(), Backend::Compiled, Device::cpu1());
+        let (_, cold) = exe.run_with_stats(&[sample_input()]).unwrap();
+        let (_, warm) = exe.run_with_stats(&[sample_input()]).unwrap();
+        assert!(!cold.planned && warm.planned && warm.arena_bytes > 0);
+        assert_eq!(exe.plan_cache_bytes(), warm.arena_bytes);
+        // A request holding the plan's arena must not hide it.
+        let cache = exe.plans.lock().unwrap();
+        let state = cache[0].1.as_ref().unwrap().state.clone();
+        drop(cache);
+        let _running = state.lock().unwrap();
+        assert_eq!(exe.plan_cache_bytes(), warm.arena_bytes);
+    }
+
+    #[test]
+    fn profile_times_every_node_on_the_serving_path() {
+        let exe = Executable::new(planned_graph(), Backend::Compiled, Device::cpu1());
+        let n = exe.graph().nodes.len();
+        assert_eq!(exe.profile(&[sample_input()]).len(), n);
+        // The first profile built the plan, so the second one runs it.
+        assert!(exe.plan_cache_bytes() > 0);
+        assert_eq!(exe.profile(&[sample_input()]).len(), n);
+        assert!(exe.profile(&[]).is_empty(), "invalid inputs time nothing");
     }
 
     #[test]

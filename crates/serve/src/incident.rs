@@ -140,18 +140,21 @@ impl IncidentLog {
         model: Option<&str>,
         detail: impl Into<String>,
     ) -> u64 {
+        let model = model.map(str::to_string);
+        let detail = detail.into();
+        // Incidents are plain data; survive a poisoned lock.
+        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
+        // Numbered under the lock, so entries sit in sequence order even
+        // when threads record concurrently.
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let incident = Incident {
+        entries.push_back(Incident {
             seq,
             at: self.epoch.elapsed(),
             rung,
-            model: model.map(str::to_string),
+            model,
             kind,
-            detail: detail.into(),
-        };
-        // Incidents are plain data; survive a poisoned lock.
-        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        entries.push_back(incident);
+            detail,
+        });
         while entries.len() > self.cap {
             entries.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

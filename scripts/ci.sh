@@ -25,10 +25,17 @@ echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
 # Memory-planner gate, explicitly: per-batch plan determinism,
-# steady-state zero-allocation compiled inference, and bit identity
-# between the arena-planned and refcount executors.
-echo "==> cargo test -q --test memplan (plan determinism + zero-alloc steady state)"
-cargo test -q --offline --test memplan
+# steady-state zero-allocation compiled inference, bit identity and
+# equal cost accounting between planned and refcount runs, and
+# allocation counters that concurrent runs on other threads cannot
+# disturb. The built binary runs 10 times with default test threads, so
+# a cross-thread leak into the counters cannot pass by luck of timing.
+echo "==> test memplan x10 (plan determinism + zero-alloc steady state)"
+memplan_bin=$(cargo test --offline --test memplan --no-run --message-format=json 2>/dev/null \
+    | grep -o '"executable":"[^"]*/memplan-[0-9a-f]*"' | cut -d'"' -f4)
+for _ in $(seq 10); do
+    "$memplan_bin" -q
+done
 
 # Abstract-interpretation gate, explicitly: randomized soundness of the
 # interval/taint analysis (every eager intermediate inside its inferred

@@ -3,7 +3,8 @@
 //! tree strategy and full pipelines, plans must be deterministic, and
 //! warm compiled inference must reach a zero-allocation steady state.
 
-use hummingbird::backend::Backend;
+use hummingbird::backend::device::P100;
+use hummingbird::backend::{Backend, Device, RunStats};
 use hummingbird::compiler::{compile, CompileOptions, TreeStrategy};
 use hummingbird::ml::ensemble::{Aggregation, TreeEnsemble};
 use hummingbird::ml::tree::Tree;
@@ -85,13 +86,21 @@ fn batch(seed: u64, n_rows: usize, n_features: usize) -> Tensor<f32> {
     Tensor::from_fn(&[n_rows, n_features], |_| rand() * 2.0 - 1.0)
 }
 
-/// Runs the model through both executors on identical inputs and
-/// asserts bit-identical outputs; returns true once a run was served
-/// from a warm plan.
-fn assert_planned_bitwise_identical(pipe: &Pipeline, strategy: TreeStrategy, x: &Tensor<f32>) {
+/// Runs the model on `device` through both executors on identical
+/// inputs and asserts bit-identical outputs and identical cost
+/// accounting (launches, flops, bytes, traversals and modeled device
+/// time). Returns the refcount run's stats and the last warm planned
+/// run's stats.
+fn assert_planned_bitwise_identical(
+    pipe: &Pipeline,
+    strategy: TreeStrategy,
+    x: &Tensor<f32>,
+    device: Device,
+) -> (RunStats, RunStats) {
     let opts = CompileOptions {
         tree_strategy: strategy,
         optimize_pipeline: false,
+        device,
         ..Default::default()
     };
     let model = compile(pipe, &opts).expect("compile");
@@ -101,49 +110,143 @@ fn assert_planned_bitwise_identical(pipe: &Pipeline, strategy: TreeStrategy, x: 
     assert!(!ref_stats.planned, "refcount path must not report planned");
     // First sighting builds + caches the plan but serves refcount;
     // subsequent runs must come from the warm arena plan.
-    let mut saw_planned = false;
+    let mut last = None;
     for run in 0..3 {
         let (got, stats) = exe.run_with_stats(&inputs).expect("planned run");
+        let label = strategy.label();
         if run > 0 {
             assert!(
                 stats.planned,
-                "{}: warm run {run} not served from plan cache",
-                strategy.label()
+                "{label}: warm run {run} not served from plan cache"
             );
         }
-        saw_planned |= stats.planned;
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(
                 g.as_f32().to_vec(),
                 w.as_f32().to_vec(),
-                "{}: planned output diverges bitwise from refcount",
-                strategy.label()
+                "{label}: planned output diverges bitwise from refcount"
             );
         }
+        assert_eq!(
+            (stats.kernel_launches, stats.flops, stats.bytes),
+            (ref_stats.kernel_launches, ref_stats.flops, ref_stats.bytes),
+            "{label}: run {run} launches/flops/bytes differ from refcount"
+        );
+        assert_eq!(
+            (stats.traversals, stats.simulated),
+            (ref_stats.traversals, ref_stats.simulated),
+            "{label}: run {run} traversals/simulated time differ from refcount"
+        );
+        last = Some(stats);
     }
-    assert!(saw_planned, "{}: plan never engaged", strategy.label());
+    (ref_stats, last.expect("ran"))
 }
 
 #[test]
 fn planned_execution_bit_identical_gemm() {
     let pipe = forest_pipeline(0x5eed_0001, 10, 3);
     let x = batch(0xfeed_0001, 17, 10);
-    assert_planned_bitwise_identical(&pipe, TreeStrategy::Gemm, &x);
+    assert_planned_bitwise_identical(&pipe, TreeStrategy::Gemm, &x, Device::cpu());
 }
 
 #[test]
 fn planned_execution_bit_identical_tree_traversal() {
     let pipe = forest_pipeline(0x5eed_0002, 10, 3);
     let x = batch(0xfeed_0002, 17, 10);
-    assert_planned_bitwise_identical(&pipe, TreeStrategy::TreeTraversal, &x);
+    assert_planned_bitwise_identical(&pipe, TreeStrategy::TreeTraversal, &x, Device::cpu());
 }
 
 #[test]
 fn planned_execution_bit_identical_perfect_tree_traversal() {
     let pipe = forest_pipeline(0x5eed_0003, 10, 3);
     let x = batch(0xfeed_0003, 17, 10);
-    assert_planned_bitwise_identical(&pipe, TreeStrategy::PerfectTreeTraversal, &x);
+    assert_planned_bitwise_identical(&pipe, TreeStrategy::PerfectTreeTraversal, &x, Device::cpu());
+}
+
+#[test]
+fn planned_execution_matches_refcount_on_simulated_device() {
+    let pipe = forest_pipeline(0x5eed_000b, 10, 3);
+    let x = batch(0xfeed_000b, 33, 10);
+    let (refcount, planned) =
+        assert_planned_bitwise_identical(&pipe, TreeStrategy::Gemm, &x, Device::Sim(P100));
+    assert!(refcount.simulated.is_some() && planned.planned);
+}
+
+#[test]
+fn no_tensor_is_allocated_inside_a_rayon_worker() {
+    // Run accounting reads counters scoped to the calling thread. That
+    // is sound only while kernels allocate their tensors before fanning
+    // out to the pool's workers: a 4-thread pool splits these kernels
+    // across workers, yet must count exactly what one thread counts.
+    let pipe = forest_pipeline(0x5eed_000c, 16, 3);
+    let x = batch(0xfeed_000c, 1000, 16);
+    for strategy in [
+        TreeStrategy::Gemm,
+        TreeStrategy::TreeTraversal,
+        TreeStrategy::PerfectTreeTraversal,
+    ] {
+        let one = assert_planned_bitwise_identical(&pipe, strategy, &x, Device::cpu1());
+        let four =
+            assert_planned_bitwise_identical(&pipe, strategy, &x, Device::Cpu { threads: 4 });
+        assert!(
+            one.0.allocations > 0,
+            "{strategy:?}: refcount run allocated nothing"
+        );
+        for (path, a, b) in [("refcount", &one.0, &four.0), ("planned", &one.1, &four.1)] {
+            assert_eq!(
+                (a.allocations, a.peak_tensor_bytes),
+                (b.allocations, b.peak_tensor_bytes),
+                "{strategy:?} {path}: 1-thread vs 4-thread allocations/peak bytes"
+            );
+        }
+    }
+}
+
+#[test]
+fn concurrent_executables_see_only_their_own_counters() {
+    let compile_on_one_core = |seed| {
+        let opts = CompileOptions {
+            tree_strategy: TreeStrategy::Gemm,
+            optimize_pipeline: false,
+            device: Device::cpu1(),
+            ..Default::default()
+        };
+        compile(&forest_pipeline(seed, 16, 3), &opts).expect("compile")
+    };
+    let (a, b) = (
+        compile_on_one_core(0x5eed_000d),
+        compile_on_one_core(0x5eed_000e),
+    );
+    let xa = [DynTensor::F32(batch(0xfeed_000d, 64, 16))];
+    let xb = [DynTensor::F32(batch(0xfeed_000e, 256, 16))];
+    let solo = b.executable().run_refcount_with_stats(&xb).expect("solo");
+    for _ in 0..2 {
+        a.executable().run_with_stats(&xa).expect("warm-up");
+    }
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        // B allocates on every run while A runs its warm plan beside it.
+        let b_runs = scope.spawn(|| {
+            start.wait();
+            for run in 0..30 {
+                let (_, stats) = b.executable().run_refcount_with_stats(&xb).expect("B");
+                assert_eq!(
+                    (stats.allocations, stats.peak_tensor_bytes),
+                    (solo.1.allocations, solo.1.peak_tensor_bytes),
+                    "B run {run}: counters differ from its solo run"
+                );
+            }
+        });
+        start.wait();
+        let mut a_runs = 0;
+        while a_runs < 30 || !b_runs.is_finished() {
+            let (_, stats) = a.executable().run_with_stats(&xa).expect("A");
+            assert!(stats.planned, "A run {a_runs} not planned");
+            assert_eq!(stats.allocations, 0, "A run {a_runs} saw allocations");
+            a_runs += 1;
+        }
+    });
 }
 
 #[test]
